@@ -20,7 +20,7 @@
 //! (they are comparison baselines, not the paper's contribution).
 
 use crate::stats::{mean, median, percentile};
-use crate::util::{default_estimator, header, parallel_map, StationaryRun};
+use crate::util::{default_estimator, header, parallel_map, stream_batches, StationaryRun};
 use locble_ble::{BeaconHardware, BeaconId};
 use locble_core::{BackendSpec, FingerprintConfig, ParticleConfig, RssBatch, StreamingEstimator};
 use locble_geom::Vec2;
@@ -30,10 +30,6 @@ use locble_scenario::world::simulate_session;
 use locble_scenario::{environment_by_index, plan_l_walk, BeaconSpec, SessionConfig};
 use serde::Value;
 use std::time::Instant;
-
-/// Streaming batch window, seconds (§5.3: "a new data batch every 2-3
-/// seconds").
-const STREAM_BATCH_S: f64 = 2.2;
 
 /// Boxed-vs-concrete per-batch wall-time tolerance for the default
 /// backend (release-mode acceptance; one vtable hop per batch must
@@ -67,22 +63,8 @@ fn stream_session(run: &StationaryRun) -> Option<StreamSession> {
     let motion = track_observer(&session);
     let truth = session.truth_local(BeaconId(1))?;
     let rss = session.rss_of(BeaconId(1))?;
-    let mut batches = Vec::new();
-    let mut start = 0;
-    while start < rss.len() {
-        let t0 = rss.t[start];
-        let mut end = start;
-        while end < rss.len() && rss.t[end] < t0 + STREAM_BATCH_S {
-            end += 1;
-        }
-        batches.push(RssBatch::new(
-            rss.t[start..end].to_vec(),
-            rss.v[start..end].to_vec(),
-        ));
-        start = end;
-    }
     Some(StreamSession {
-        batches,
+        batches: stream_batches(rss),
         motion,
         truth,
     })

@@ -17,6 +17,7 @@ pub mod fig5;
 pub mod fig8;
 pub mod fig9;
 pub mod fleet;
+pub mod horizon;
 pub mod hotpath;
 pub mod obs;
 pub mod recover;

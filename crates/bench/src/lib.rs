@@ -38,6 +38,7 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "obs",
     "recover",
     "backends",
+    "horizon",
     "ablations",
 ];
 
@@ -69,6 +70,7 @@ pub fn run_experiment(id: &str) -> Option<String> {
         "obs" => obs::run(),
         "recover" => recover::run(),
         "backends" => backends::run(),
+        "horizon" => horizon::run(),
         "ablations" => ablations::run(),
         _ => return None,
     };

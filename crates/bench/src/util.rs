@@ -2,7 +2,8 @@
 //! report formatting.
 
 use locble_ble::{BeaconHardware, BeaconId, BeaconKind};
-use locble_core::{Estimator, EstimatorConfig};
+use locble_core::{Estimator, EstimatorConfig, RssBatch};
+use locble_dsp::TimeSeries;
 use locble_geom::Vec2;
 use locble_scenario::world::simulate_session;
 use locble_scenario::{
@@ -147,6 +148,30 @@ impl StationaryRun {
         );
         localize(&session, BeaconId(1), estimator)
     }
+}
+
+/// Streaming batch window, seconds (§5.3: "a new data batch every 2-3
+/// seconds").
+const STREAM_BATCH_S: f64 = 2.2;
+
+/// Slices one beacon's RSS series into the §5.3 streaming batches: each
+/// batch holds the samples within [`STREAM_BATCH_S`] of its first.
+pub fn stream_batches(rss: &TimeSeries) -> Vec<RssBatch> {
+    let mut batches = Vec::new();
+    let mut start = 0;
+    while start < rss.len() {
+        let t0 = rss.t[start];
+        let mut end = start;
+        while end < rss.len() && rss.t[end] < t0 + STREAM_BATCH_S {
+            end += 1;
+        }
+        batches.push(RssBatch::new(
+            rss.t[start..end].to_vec(),
+            rss.v[start..end].to_vec(),
+        ));
+        start = end;
+    }
+    batches
 }
 
 /// Runs a set of independent jobs across threads (std scoped), in a

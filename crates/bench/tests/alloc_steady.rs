@@ -13,8 +13,10 @@
 use locble_bench::util::{alloc_count, CountingAlloc};
 use locble_ble::BeaconId;
 use locble_core::backend::Estimator as EstimatorBackend;
+use locble_core::streaming::WINDOW_SAMPLES;
 use locble_core::{
-    Estimator, EstimatorConfig, ParticleBackend, ParticleConfig, RssBatch, StreamingEstimator,
+    Estimator, EstimatorConfig, FingerprintBackend, FingerprintConfig, ParticleBackend,
+    ParticleConfig, RssBatch, StreamingEstimator,
 };
 use locble_engine::{Advert, Engine, EngineConfig};
 use locble_geom::{Trajectory, Vec2};
@@ -28,6 +30,33 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// A long deterministic L-walk: per-sample observer positions and RSS
 /// readings for one beacon, chunked into `batch` -sample batches.
 fn walk_fixture(total: usize, batch: usize) -> (Vec<RssBatch>, MotionTrack) {
+    walk_fixture_with(total, batch, |i| {
+        if i % 80 < 40 {
+            Vec2::new(1.0, 0.0)
+        } else {
+            Vec2::new(0.0, 1.0)
+        }
+    })
+}
+
+/// Like [`walk_fixture`], but looping a 4.4 m × 3.3 m rectangle, so a
+/// session of any length stays next to the beacon.
+fn loop_fixture(total: usize, batch: usize) -> (Vec<RssBatch>, MotionTrack) {
+    walk_fixture_with(total, batch, |i| match i % 140 {
+        0..40 => Vec2::new(1.0, 0.0),
+        40..70 => Vec2::new(0.0, 1.0),
+        70..110 => Vec2::new(-1.0, 0.0),
+        _ => Vec2::new(0.0, -1.0),
+    })
+}
+
+/// The walk fixtures' common body: the observer moves `dt` metres per
+/// sample along the unit direction `heading(i)`.
+fn walk_fixture_with(
+    total: usize,
+    batch: usize,
+    heading: impl Fn(usize) -> Vec2,
+) -> (Vec<RssBatch>, MotionTrack) {
     let model = LogDistanceModel::new(-59.0, 2.0);
     let target = Vec2::new(4.0, 3.5);
     let dt = 0.11;
@@ -39,11 +68,7 @@ fn walk_fixture(total: usize, batch: usize) -> (Vec<RssBatch>, MotionTrack) {
         traj.push(t, pos);
         let noise = if i % 2 == 0 { 0.9 } else { -0.7 };
         all.push((t, model.rss_at(target.distance(pos)) + noise));
-        if i % 80 < 40 {
-            pos.x += dt;
-        } else {
-            pos.y += dt;
-        }
+        pos += heading(i) * dt;
     }
     let track = MotionTrack {
         trajectory: traj,
@@ -91,6 +116,45 @@ fn warm_streaming_session_processes_batches_without_allocating() {
         "warm streaming push_batch allocated {allocs} times over {} batches",
         measured.len()
     );
+}
+
+/// Past the window a session trims its oldest samples before appending
+/// and its solver rebuilds over the slid window, both inside buffers
+/// sized once for the window: however long the session runs, batches
+/// stay off the allocator.
+#[test]
+fn sessions_past_the_window_process_batches_without_allocating() {
+    let batch = 20;
+    let (batches, track) = loop_fixture(WINDOW_SAMPLES * 5, batch);
+    let (warm, measured) = batches.split_at(WINDOW_SAMPLES * 3 / batch);
+
+    let mut streaming = StreamingEstimator::new(Estimator::new(EstimatorConfig::default()));
+    let mut fingerprint = FingerprintBackend::new(FingerprintConfig::default());
+    for b in warm {
+        streaming.push_batch(b, &track);
+        fingerprint.push_batch(b, &track);
+    }
+    streaming.reserve(WINDOW_SAMPLES + batch);
+    fingerprint.reserve(WINDOW_SAMPLES + batch);
+
+    for (name, session) in [
+        ("streaming", &mut streaming as &mut dyn EstimatorBackend),
+        ("fingerprint", &mut fingerprint),
+    ] {
+        let before = alloc_count();
+        for b in measured {
+            session.push_batch(b, &track);
+        }
+        let allocs = alloc_count() - before;
+        assert!(session.current().is_some(), "{name} session must estimate");
+        assert_eq!(session.active_samples(), WINDOW_SAMPLES);
+        assert_eq!(
+            allocs,
+            0,
+            "{name} push_batch past the window allocated {allocs} times over {} batches",
+            measured.len()
+        );
+    }
 }
 
 #[test]

@@ -15,10 +15,11 @@
 //! motion track (no RNG), so export/restore and replay are trivially
 //! bit-identical. Refit-stride semantics mirror the streaming backend:
 //! skipped batches accumulate, [`refit_now`](FingerprintBackend::refit_now)
-//! forces an up-to-date fit.
+//! forces an up-to-date fit. So does the horizon: a session keeps only
+//! its last [`WINDOW_SAMPLES`], so per-batch cost and state stay bounded.
 
 use crate::estimator::{FitMethod, LocationEstimate};
-use crate::streaming::RssBatch;
+use crate::streaming::{make_room, RssBatch, WINDOW_SAMPLES};
 use locble_geom::Vec2;
 use locble_ml::GramSolver;
 use locble_motion::MotionTrack;
@@ -60,7 +61,7 @@ impl Default for FingerprintConfig {
 /// like the other backends.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FingerprintState {
-    /// Accumulated sample times, seconds.
+    /// Sample times of the last [`WINDOW_SAMPLES`] accumulated, seconds.
     pub series_t: Vec<f64>,
     /// RSSI values parallel to `series_t`.
     pub series_v: Vec<f64>,
@@ -132,8 +133,10 @@ impl FingerprintBackend {
 
     /// Pre-grows the series and the refit scratch for `additional` more
     /// samples, so ingest and refits within that headroom stay off the
-    /// allocator.
+    /// allocator. Clamped at [`WINDOW_SAMPLES`], like the streaming
+    /// backend's.
     pub fn reserve(&mut self, additional: usize) {
+        let additional = additional.min(WINDOW_SAMPLES.saturating_sub(self.state.series_t.len()));
         self.state.series_t.reserve(additional);
         self.state.series_v.reserve(additional);
         let total = self.state.series_t.len() + additional;
@@ -271,7 +274,7 @@ impl FingerprintBackend {
         best
     }
 
-    /// Full fit over everything accumulated.
+    /// Full fit over the window.
     fn refit(&mut self, observer: &MotionTrack) {
         self.state.batches_since_refit = 0;
         if self.state.series_t.len() < self.config.min_samples {
@@ -341,8 +344,13 @@ impl FingerprintBackend {
         if batch.is_empty() {
             return self.state.current.as_ref();
         }
-        self.state.series_t.extend_from_slice(&batch.t);
-        self.state.series_v.extend_from_slice(&batch.v);
+        let skip = make_room(
+            &mut self.state.series_t,
+            &mut self.state.series_v,
+            batch.len(),
+        );
+        self.state.series_t.extend_from_slice(&batch.t[skip..]);
+        self.state.series_v.extend_from_slice(&batch.v[skip..]);
         self.state.batches += 1;
         self.state.batches_since_refit += 1;
         if self.state.batches_since_refit >= self.state.refit_stride {
@@ -351,7 +359,7 @@ impl FingerprintBackend {
         self.state.current.as_ref()
     }
 
-    /// Forces a refit over everything accumulated (no-op when nothing
+    /// Forces a refit over the window (no-op when nothing
     /// arrived since the last fit).
     pub fn refit_now(&mut self, observer: &MotionTrack) -> Option<&LocationEstimate> {
         if self.state.batches_since_refit > 0 {

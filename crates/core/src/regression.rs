@@ -215,8 +215,11 @@ impl FitSolver {
     /// Pre-grows every per-point buffer (columns and scratch arena) for
     /// `additional` more samples, so a steady-state refit of a session
     /// that keeps growing performs no heap allocation until the headroom
-    /// is consumed.
+    /// is consumed. Clamped at [`crate::streaming::WINDOW_SAMPLES`], the
+    /// most points a streaming refit ever fits.
     pub fn reserve(&mut self, additional: usize) {
+        let additional =
+            additional.min(crate::streaming::WINDOW_SAMPLES.saturating_sub(self.len()));
         self.p.reserve(additional);
         self.q.reserve(additional);
         self.s.reserve(additional);

@@ -6,10 +6,18 @@
 //! (§5.3), the estimate updates after every batch, and a confirmed
 //! environment change *restarts the regression* ("start a new regression
 //! with the data"). [`StreamingEstimator`] implements exactly that
-//! regime: it holds the RSS collected since the last environment
-//! restart, refits after each batch, and exposes the evolving estimate —
-//! which is also what the navigation display consumes while the user
-//! walks (Fig. 12b's improving-estimate behaviour).
+//! regime: it holds the last [`WINDOW_SAMPLES`] of the RSS collected
+//! since the last environment restart, refits after each batch, and
+//! exposes the evolving estimate — which is also what the navigation
+//! display consumes while the user walks (Fig. 12b's improving-estimate
+//! behaviour).
+//!
+//! The window bounds a session's per-batch cost and memory however long
+//! it lives. Each refit over a slid window is a from-scratch fit of
+//! those samples (the cached Gram solver sees a changed prefix and
+//! rebuilds, which costs one exponent candidate's worth of work), so a
+//! windowed estimate is bit-identical to
+//! [`Estimator::estimate_stationary`] over the same samples.
 
 use crate::envaware::EnvChangeDetector;
 use crate::estimator::{Estimator, LocationEstimate};
@@ -18,6 +26,25 @@ use locble_dsp::TimeSeries;
 use locble_geom::EnvClass;
 use locble_motion::MotionTrack;
 use std::fmt;
+
+/// Most samples a streaming session fits over: the oldest are dropped
+/// once a session holds more. About 70 s of a 9 Hz advertiser — long
+/// enough for several L-walks, short enough that dead-reckoning drift
+/// ages out.
+pub const WINDOW_SAMPLES: usize = 600;
+
+/// Drops the oldest samples of a `(t, v)` column pair so that `incoming`
+/// more fit in [`WINDOW_SAMPLES`]. Returns how many leading samples of
+/// the incoming batch to skip (non-zero only for a batch longer than the
+/// window). Trimming before appending keeps the columns' capacity at the
+/// window.
+pub(crate) fn make_room(t: &mut Vec<f64>, v: &mut Vec<f64>, incoming: usize) -> usize {
+    let skip = incoming.saturating_sub(WINDOW_SAMPLES);
+    let excess = (t.len() + incoming - skip).saturating_sub(WINDOW_SAMPLES);
+    t.drain(..excess);
+    v.drain(..excess);
+    skip
+}
 
 /// Why an [`RssBatch`] could not be built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,7 +168,8 @@ impl RssBatch {
 /// continues the session bit-for-bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamingState {
-    /// Sample times accumulated since the last environment restart.
+    /// Sample times of the last [`WINDOW_SAMPLES`] accumulated since the
+    /// last environment restart.
     pub series_t: Vec<f64>,
     /// RSSI values parallel to `series_t`.
     pub series_v: Vec<f64>,
@@ -164,7 +192,8 @@ pub struct StreamingState {
 pub struct StreamingEstimator {
     estimator: Estimator,
     detector: EnvChangeDetector,
-    /// RSS accumulated since the last regression restart.
+    /// The last [`WINDOW_SAMPLES`] of the RSS accumulated since the last
+    /// regression restart.
     series: TimeSeries,
     /// Number of restarts so far (for diagnostics).
     restarts: usize,
@@ -262,9 +291,12 @@ impl StreamingEstimator {
 
     /// Pre-grows the series and the solver's per-point buffers for
     /// `additional` more samples, so a steady stream of batches within
-    /// that headroom never reallocates.
+    /// that headroom never reallocates. Clamped at [`WINDOW_SAMPLES`]: a
+    /// session reserved to the window never reallocates however long it
+    /// runs.
     pub fn reserve(&mut self, additional: usize) {
-        self.series.reserve(additional);
+        self.series
+            .reserve(additional.min(WINDOW_SAMPLES.saturating_sub(self.series.len())));
         self.solver.reserve(additional);
     }
 
@@ -349,7 +381,11 @@ impl StreamingEstimator {
         obs.counter_add("stream.batches", 1);
         obs.histogram_observe("stream.batch_len", batch.len() as f64);
         self.apply_restart_rule(batch);
-        for (&t, &v) in batch.t.iter().zip(&batch.v) {
+        if let Some(&last) = self.series.t.last() {
+            assert!(batch.t[0] >= last, "timestamps must be non-decreasing");
+        }
+        let skip = make_room(&mut self.series.t, &mut self.series.v, batch.len());
+        for (&t, &v) in batch.t[skip..].iter().zip(&batch.v[skip..]) {
             self.series.push(t, v);
         }
         self.batches_since_refit += 1;
@@ -361,7 +397,7 @@ impl StreamingEstimator {
         self.current.as_ref()
     }
 
-    /// Refits immediately over everything accumulated, regardless of the
+    /// Refits immediately over the window, regardless of the
     /// refit stride (no-op when no data has arrived since the last
     /// refit). Returns the refreshed estimate.
     pub fn refit_now(&mut self, observer: &MotionTrack) -> Option<&LocationEstimate> {
@@ -660,6 +696,17 @@ mod tests {
             reused.push_batch(b, &track);
         }
         assert_eq!(fresh.current().copied(), reused.current().copied());
+    }
+
+    #[test]
+    fn reserve_is_clamped_at_the_window() {
+        let (batches, track) = batches(Vec2::new(4.0, 3.5), |_| 0.0);
+        let mut streaming = StreamingEstimator::new(Estimator::new(EstimatorConfig::default()));
+        streaming.push_batch(&batches[0], &track);
+        streaming.reserve(100 * WINDOW_SAMPLES);
+        assert_eq!(streaming.series.t.capacity(), WINDOW_SAMPLES);
+        assert_eq!(streaming.series.v.capacity(), WINDOW_SAMPLES);
+        assert!(streaming.solver.scratch.filtered.capacity() <= WINDOW_SAMPLES);
     }
 
     #[test]

@@ -397,7 +397,9 @@ impl Engine {
     /// `additional` more samples per session. A warm engine whose
     /// sessions stay within that headroom runs steady-state
     /// [`Engine::process`] calls entirely off the allocator (on the
-    /// single-threaded drain path).
+    /// single-threaded drain path). Estimators clamp their share at their
+    /// window ([`locble_core::streaming::WINDOW_SAMPLES`]), which a
+    /// session never outgrows however long it lives.
     pub fn reserve_headroom(&mut self, additional: usize) {
         for state in &self.shards {
             let mut state = state.lock().expect("shard not poisoned");

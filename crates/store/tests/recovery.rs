@@ -11,6 +11,7 @@
 //! durability layer, not the engine.
 
 use locble_ble::BeaconId;
+use locble_core::streaming::WINDOW_SAMPLES;
 use locble_core::{Estimator, EstimatorConfig, LocationEstimate};
 use locble_engine::{Advert, Engine, EngineConfig, EngineStats};
 use locble_motion::MotionTrack;
@@ -28,6 +29,26 @@ fn fleet_adverts(n_beacons: usize, seed: u64) -> (Vec<Advert>, MotionTrack) {
     let fleet = fleet_beacons(&env, n_beacons, seed);
     let plan =
         plan_l_walk(&env, locble_geom::Vec2::new(4.0, 4.0), 4.0, 3.0, 0.5).expect("walk fits");
+    let session = simulate_session(&env, &fleet, &plan, &SessionConfig::paper_default(seed));
+    let motion = track_observer(&session);
+    let adverts = session
+        .interleaved_rss()
+        .into_iter()
+        .map(Advert::from)
+        .collect();
+    (adverts, motion)
+}
+
+/// A walk of `loops` rectangle loops (the paper's L followed by its
+/// mirror, over and over) past `n_beacons` beacons: sessions grow past
+/// the streaming window.
+fn long_walk_adverts(n_beacons: usize, loops: usize, seed: u64) -> (Vec<Advert>, MotionTrack) {
+    let env = environment_by_index(9).expect("parking lot exists");
+    let fleet = fleet_beacons(&env, n_beacons, seed);
+    let mut plan =
+        plan_l_walk(&env, locble_geom::Vec2::new(4.0, 4.0), 4.0, 3.0, 0.5).expect("walk fits");
+    plan.legs = plan.legs.iter().cycle().take(4 * loops).cloned().collect();
+    plan.turn_angles = vec![plan.turn_angles[0]; 4 * loops - 1];
     let session = simulate_session(&env, &fleet, &plan, &SessionConfig::paper_default(seed));
     let motion = track_observer(&session);
     let adverts = session
@@ -135,6 +156,18 @@ fn assert_engines_match(label: &str, got: &Engine, want: &Engine) {
 /// uninterrupted run.
 fn crash_scenario(tag: &str, crash_at: usize, checkpoint_at: usize, tear: bool) {
     let (adverts, motion) = fleet_adverts(10, 77);
+    crash_scenario_on(tag, &adverts, &motion, crash_at, checkpoint_at, tear);
+}
+
+/// [`crash_scenario`] over a given advert stream and motion track.
+fn crash_scenario_on(
+    tag: &str,
+    adverts: &[Advert],
+    motion: &MotionTrack,
+    crash_at: usize,
+    checkpoint_at: usize,
+    tear: bool,
+) {
     assert!(crash_at <= adverts.len() && crash_at > 0);
     let dir = temp_dir(tag);
 
@@ -209,7 +242,7 @@ fn crash_scenario(tag: &str, crash_at: usize, checkpoint_at: usize, tear: bool) 
     }
     engine.finish();
 
-    let reference = reference_run(&adverts, &motion);
+    let reference = reference_run(adverts, motion);
     assert_engines_match(tag, &engine, &reference);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
@@ -237,6 +270,34 @@ fn crash_at_end_of_stream_before_finish() {
 fn crash_tearing_the_final_wal_record() {
     let (adverts, _) = fleet_adverts(10, 77);
     crash_scenario("torn", (adverts.len() * 2) / 3, adverts.len() / 3, true);
+}
+
+#[test]
+fn crash_after_sessions_outgrow_the_window() {
+    // The checkpoint holds sessions already trimmed to the window, the
+    // WAL replay slides them further, and recovery must still match the
+    // uninterrupted run bit for bit.
+    let (adverts, motion) = long_walk_adverts(4, 12, 31);
+    let checkpoint_at = adverts.len() / 2;
+    let beacons: std::collections::BTreeSet<BeaconId> = adverts.iter().map(|a| a.beacon).collect();
+    for b in beacons {
+        let before = adverts[..checkpoint_at]
+            .iter()
+            .filter(|a| a.beacon == b)
+            .count();
+        assert!(
+            before > WINDOW_SAMPLES,
+            "beacon {b}: only {before} samples before the checkpoint"
+        );
+    }
+    crash_scenario_on(
+        "long",
+        &adverts,
+        &motion,
+        (adverts.len() * 3) / 4,
+        checkpoint_at,
+        false,
+    );
 }
 
 #[test]

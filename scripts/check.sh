@@ -9,6 +9,9 @@ cargo build --workspace --release
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> wirebench tests (served estimates bit-identical to the in-process replay)"
+cargo test --release --offline --manifest-path wirebench/Cargo.toml
+
 echo "==> engine determinism suite (1/2/8 threads)"
 cargo test -q -p locble-engine --test determinism
 
